@@ -13,7 +13,6 @@
 
 use crate::key_token;
 use crate::msg::{Message, Outbound};
-use crate::node::NodeState;
 use crate::ring::HashRing;
 use bytes::Bytes;
 use ef_netsim::NodeId;
@@ -195,29 +194,32 @@ fn tree_wire_size(depth: u32) -> u64 {
     48 + 8 * (1u64 << depth)
 }
 
-/// Entries `me` holds that the pair `(a, b)` co-replicates under `ring`.
-fn co_replicated(
-    nodes: &BTreeMap<NodeId, NodeState>,
-    ring: &HashRing,
-    rf: usize,
-    me: NodeId,
-    a: NodeId,
-    b: NodeId,
-) -> BTreeMap<Bytes, Bytes> {
-    nodes
-        .get(&me)
-        // simlint::allow(D003): `me` ranges over the cluster's own live-node list
-        .expect("live node exists")
-        .storage()
-        .iter_live()
-        .filter(|(k, _)| {
-            let reps = ring.replicas(k, rf);
-            reps.contains(&a) && reps.contains(&b)
-        })
-        .collect()
-}
+/// One replica's co-replicated entries, key-ordered.
+type Entries = BTreeMap<Bytes, Bytes>;
 
 impl crate::sim::SimCluster {
+    /// The entries `a` and `b` each hold that the pair co-replicates
+    /// under the master ring, and the depth-`depth` Merkle buckets where
+    /// the two sides differ.
+    fn pair_diff(&self, a: NodeId, b: NodeId, depth: u32) -> ([Entries; 2], Vec<usize>) {
+        let rf = self.config.replication_factor;
+        let entries: [Entries; 2] = [a, b].map(|me| {
+            self.node(me)
+                .into_iter()
+                .flat_map(|state| state.storage().iter_live())
+                .filter(|(k, _)| {
+                    let reps = self.ring.replicas(k, rf);
+                    reps.contains(&a) && reps.contains(&b)
+                })
+                .collect()
+        });
+        let [tree_a, tree_b] = entries.each_ref().map(|side| {
+            MerkleTree::build(side.iter().map(|(k, v)| (k.as_ref(), v.as_ref())), depth)
+        });
+        let diff = tree_a.diff(&tree_b);
+        (entries, diff)
+    }
+
     /// Runs one scheduled anti-entropy round over the simulated network.
     ///
     /// Every live pair of replicas exchanges Merkle-tree summaries of the
@@ -231,14 +233,7 @@ impl crate::sim::SimCluster {
     /// once a round finds *all* its replica pairs clean.
     pub(crate) fn anti_entropy_round(&mut self, now: SimTime, depth: u32) {
         self.recovery.antientropy_rounds += 1;
-        let live: Vec<NodeId> = self
-            .nodes
-            .keys()
-            .copied()
-            .filter(|n| !self.crashed.contains(n))
-            .collect();
-        let rf = self.config.replication_factor;
-        let ring = self.ring.clone();
+        let live: Vec<NodeId> = self.up_ids().collect();
         let mut clean: BTreeMap<NodeId, bool> = live.iter().map(|&n| (n, true)).collect();
 
         for x in 0..live.len() {
@@ -300,33 +295,19 @@ impl crate::sim::SimCluster {
                 // peer the failure detector never formally suspected).
                 for (me, peer) in [(a, b), (b, a)] {
                     let replays = self
-                        .nodes
-                        .get_mut(&me)
+                        .node_mut(me)
                         .map(|s| s.mark_up(peer))
                         .unwrap_or_default();
                     self.dispatch(now, me, replays);
                 }
-                let entries_a = co_replicated(&self.nodes, &ring, rf, a, a, b);
-                let entries_b = co_replicated(&self.nodes, &ring, rf, b, a, b);
-                let tree_a = MerkleTree::build(
-                    entries_a.iter().map(|(k, v)| (k.as_ref(), v.as_ref())),
-                    depth,
-                );
-                let tree_b = MerkleTree::build(
-                    entries_b.iter().map(|(k, v)| (k.as_ref(), v.as_ref())),
-                    depth,
-                );
-                let diff = tree_a.diff(&tree_b);
+                let ([entries_a, entries_b], diff) = self.pair_diff(a, b, depth);
                 if diff.is_empty() {
                     continue;
                 }
                 clean.insert(a, false);
                 clean.insert(b, false);
                 self.recovery.buckets_repaired += diff.len() as u64;
-                let missing = |src: &BTreeMap<Bytes, Bytes>,
-                               dst: &BTreeMap<Bytes, Bytes>,
-                               to: NodeId|
-                 -> Vec<Outbound> {
+                let missing = |src: &Entries, dst: &Entries, to: NodeId| -> Vec<Outbound> {
                     let mut out = Vec::new();
                     for bucket in &diff {
                         for (k, v) in src {
@@ -368,28 +349,11 @@ impl crate::sim::SimCluster {
     /// charges or repairs. `0` means every pair of live replicas agrees
     /// on their co-replicated entries.
     pub fn replica_divergence(&self, depth: u32) -> u64 {
-        let live: Vec<NodeId> = self
-            .nodes
-            .keys()
-            .copied()
-            .filter(|n| !self.crashed.contains(n))
-            .collect();
-        let rf = self.config.replication_factor;
+        let live: Vec<NodeId> = self.up_ids().collect();
         let mut buckets = 0u64;
         for x in 0..live.len() {
             for y in (x + 1)..live.len() {
-                let (a, b) = (live[x], live[y]);
-                let entries_a = co_replicated(&self.nodes, &self.ring, rf, a, a, b);
-                let entries_b = co_replicated(&self.nodes, &self.ring, rf, b, a, b);
-                let tree_a = MerkleTree::build(
-                    entries_a.iter().map(|(k, v)| (k.as_ref(), v.as_ref())),
-                    depth,
-                );
-                let tree_b = MerkleTree::build(
-                    entries_b.iter().map(|(k, v)| (k.as_ref(), v.as_ref())),
-                    depth,
-                );
-                buckets += tree_a.diff(&tree_b).len() as u64;
+                buckets += self.pair_diff(live[x], live[y], depth).1.len() as u64;
             }
         }
         buckets

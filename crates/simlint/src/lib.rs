@@ -24,9 +24,11 @@
 //! Sim-critical crates: `simcore`, `netsim`, `kvstore`, `core`,
 //! `cloudstore`, `chunking`. Hot-path modules (the panic-freedom set):
 //! `chunking::cdc`, `chunking::sha256`, `kvstore::cache`,
-//! `kvstore::gray`. Fault/liveness enums policed by E001: `ChaosEvent`,
-//! `FaultRule`, `FaultScope`, `Liveness`, `ClusterError`,
-//! `DurableError`. Test code (`#[cfg(test)]` items, `tests/`,
+//! `kvstore::gray`. Fault/liveness enums policed by E001:
+//! `ByzantineFault`, `ChaosEvent`, `FaultRule`, `FaultScope`,
+//! `Liveness`, `ClusterError`, `DurableError`, `SpoolClass`,
+//! `SpoolDest` and `Member` (a `SimCluster` node's lifecycle state).
+//! Test code (`#[cfg(test)]` items, `tests/`,
 //! `benches/`) is exempt from all rules.
 //!
 //! ## Suppressions
@@ -95,6 +97,7 @@ pub const FAULT_ENUMS: &[&str] = &[
     "DurableError",
     "SpoolClass",
     "SpoolDest",
+    "Member",
 ];
 
 /// Identifier of a lint rule.

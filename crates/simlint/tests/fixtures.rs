@@ -474,3 +474,13 @@ fn wal_recovery_shapes_fire_every_rule() {
     // The #[cfg(test)] module's unwrap is exempt.
     assert!(findings.iter().all(|f| f.line < 48));
 }
+
+#[test]
+fn e001_polices_the_member_lifecycle() {
+    // A `SimCluster` member's lifecycle state is policed like a fault
+    // enum: the wildcard in the liveness check is reported, the
+    // exhaustive state accessor is clean.
+    let findings = lint_fixture("e001_member.rs");
+    assert_eq!(spans(&findings, RuleId::E001), vec![(16, 9)]);
+    assert_eq!(findings.len(), 1);
+}
