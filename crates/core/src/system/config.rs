@@ -41,11 +41,6 @@ pub struct SystemConfig {
     /// LRU shards per node's fingerprint cache (bounds eviction scan
     /// domains and mirrors the concurrent layout a real agent would use).
     pub cache_shards: usize,
-    /// Second-sight cache admission: fingerprints enter the cache only on
-    /// their second sighting, shielding warm entries from one-hit-wonder
-    /// churn. Ignored when the cache is disabled; off by default so
-    /// earlier cached runs stay comparable.
-    pub cache_second_sight: bool,
     /// Container capacity in bytes for the restore-path layout model:
     /// unique chunks append into fixed-capacity containers in arrival
     /// order, and `SystemMetrics::restore` measures how many containers
@@ -73,7 +68,6 @@ impl SystemConfig {
             upload_streams: 4,
             cache_capacity: 0,
             cache_shards: 8,
-            cache_second_sight: false,
             // 64 chunks of the default 4 KiB — small enough that fragmentation
             // is visible at test scale, large enough to amortize a seek.
             container_bytes: 256 * 1024,

@@ -119,21 +119,15 @@ pub fn run_system(
             // the chunk is a duplicate — answered locally, no ring RTT,
             // no index-service CPU on any peer. Misses fall through to
             // the ring unchanged, so dedup verdicts are identical with
-            // the cache on or off.
+            // the cache on or off. Admission is second-sight: one-hit
+            // fingerprints never churn the LRU.
             let cache_on = config.cache_capacity > 0;
             let per_shard = config
                 .cache_capacity
                 .div_ceil(config.cache_shards.max(1))
                 .max(1);
             let mut caches: Vec<FingerprintCache> = (0..n)
-                .map(|_| {
-                    let cache = FingerprintCache::new(config.cache_shards, per_shard);
-                    if config.cache_second_sight {
-                        cache.with_second_sight()
-                    } else {
-                        cache
-                    }
-                })
+                .map(|_| FingerprintCache::new(config.cache_shards, per_shard).with_second_sight())
                 .collect();
 
             // Round-robin across nodes: parallel agents make progress
