@@ -7,7 +7,7 @@
 //! exactly the chunks no other file references.
 
 use crate::store::{ChunkStore, IntegrityError};
-use ef_chunking::{ChunkHash, Chunker};
+use ef_chunking::{fingerprint_batch, ChunkHash, Chunker};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -79,56 +79,62 @@ impl FileCatalog {
 
     /// Chunks `data` with `chunker`, stores the unique chunks, and
     /// records a manifest. Returns the new file's id.
+    ///
+    /// The chunks take the [`store_manifest`](Self::store_manifest) path,
+    /// so every payload is verified against the hash the chunker gave it
+    /// before anything is referenced.
+    ///
+    /// # Panics
+    ///
+    /// When a chunk's payload does not hash to the address the chunker
+    /// computed for it (a chunker bug). Nothing is stored in that case.
     pub fn store_file<C: Chunker>(&mut self, chunker: &C, data: &[u8]) -> FileId {
-        let mut manifest = Manifest {
-            chunks: Vec::new(),
-            total_len: data.len() as u64,
-        };
-        for chunk in chunker.chunk(data) {
-            manifest.chunks.push((chunk.hash, chunk.len() as u32));
-            self.store
-                .put(chunk.hash, chunk.data)
-                // simlint::allow(D003): the chunker computed `hash` from these bytes
-                .expect("chunker hash matches payload");
-        }
-        let id = FileId(self.next_id);
-        self.next_id += 1;
-        self.manifests.insert(id, manifest);
-        id
+        let chunks = chunker
+            .chunk(data)
+            .into_iter()
+            .map(|c| (c.hash, c.data))
+            .collect();
+        self.store_manifest(chunks)
+            // simlint::allow(P003): the chunker hashed these payloads itself; a mismatch is a chunker bug, and storing the pair would seed false duplicates
+            .expect("chunker hash matches payload")
     }
 
     /// Stores a file from externally produced chunk hashes + payloads
     /// (the upload path from the edge: the ring ships unique chunks, the
     /// manifest references all of them).
     ///
+    /// The whole batch is verified with one [`fingerprint_batch`] call
+    /// before anything is referenced, and the verified chunks enter the
+    /// store without being hashed again.
+    ///
     /// # Errors
     ///
-    /// [`IntegrityError`] when any payload does not hash to its claimed
-    /// address — the upload was damaged in flight. The catalog is left
-    /// unchanged: no chunk is referenced and no manifest is recorded, so
-    /// a corrupt batch cannot leak dangling references.
+    /// [`IntegrityError`] for the first payload, in batch order, that
+    /// does not hash to its claimed address — the upload was damaged in
+    /// flight. The catalog is left unchanged: no chunk is referenced and
+    /// no manifest is recorded, so a corrupt batch cannot leak dangling
+    /// references.
     pub fn store_manifest(
         &mut self,
         chunks: Vec<(ChunkHash, bytes::Bytes)>,
     ) -> Result<FileId, IntegrityError> {
-        // Validate the whole batch before referencing anything.
-        for (hash, data) in &chunks {
-            let actual = ChunkHash::of(data);
-            if actual != *hash {
-                return Err(IntegrityError {
-                    claimed: *hash,
-                    actual,
-                });
-            }
+        let payloads: Vec<&[u8]> = chunks.iter().map(|(_, data)| &data[..]).collect();
+        let mismatch = chunks
+            .iter()
+            .zip(fingerprint_batch(&payloads))
+            .find(|((claimed, _), actual)| claimed != actual);
+        if let Some(((claimed, _), actual)) = mismatch {
+            return Err(IntegrityError {
+                claimed: *claimed,
+                actual,
+            });
         }
-        let mut manifest = Manifest {
-            chunks: Vec::new(),
-            total_len: chunks.iter().map(|(_, b)| b.len() as u64).sum(),
+        let manifest = Manifest {
+            chunks: chunks.iter().map(|(h, b)| (*h, b.len() as u32)).collect(),
+            total_len: payloads.iter().map(|p| p.len() as u64).sum(),
         };
         for (hash, data) in chunks {
-            manifest.chunks.push((hash, data.len() as u32));
-            // simlint::allow(D003): every pair was verified in the loop above
-            self.store.put(hash, data).expect("pair verified above");
+            self.store.insert_verified(hash, data);
         }
         let id = FileId(self.next_id);
         self.next_id += 1;
@@ -137,6 +143,10 @@ impl FileCatalog {
     }
 
     /// Reassembles a file byte-exact.
+    ///
+    /// The manifest's payloads are verified with one
+    /// [`fingerprint_batch`] call before reassembly. The error names the
+    /// first failing chunk in manifest order, whether missing or corrupt.
     ///
     /// # Errors
     ///
@@ -149,18 +159,25 @@ impl FileCatalog {
             .manifests
             .get(&id)
             .ok_or(RestoreError::UnknownFile(id))?;
-        let mut out = Vec::with_capacity(manifest.total_len as usize);
-        for (hash, _) in &manifest.chunks {
-            let data = self
-                .store
-                .get(hash)
-                .ok_or(RestoreError::MissingChunk(*hash))?;
-            if ChunkHash::of(&data) != *hash {
-                return Err(RestoreError::CorruptChunk(*hash));
-            }
-            out.extend_from_slice(&data);
+        // Gather up to the first missing chunk: nothing after it can fail
+        // first, so nothing after it needs hashing.
+        let payloads: Vec<&[u8]> = manifest
+            .chunks
+            .iter()
+            .map_while(|(hash, _)| self.store.payload(hash))
+            .collect();
+        let corrupt = manifest
+            .chunks
+            .iter()
+            .zip(fingerprint_batch(&payloads))
+            .find(|((hash, _), actual)| hash != actual);
+        if let Some(((hash, _), _)) = corrupt {
+            return Err(RestoreError::CorruptChunk(*hash));
         }
-        Ok(out)
+        if let Some((hash, _)) = manifest.chunks.get(payloads.len()) {
+            return Err(RestoreError::MissingChunk(*hash));
+        }
+        Ok(payloads.concat())
     }
 
     /// Deletes a file, releasing its chunk references (space shared with
@@ -286,6 +303,41 @@ mod tests {
         // Atomic: the good chunk was not referenced either.
         assert_eq!(catalog.file_count(), 0);
         assert_eq!(catalog.store().stats().unique_chunks, 0);
+    }
+
+    /// Every batch size around the SIMD lane count, tampered at every
+    /// position: the upload is refused with that chunk's addresses and the
+    /// catalog, already holding a file that shares chunks with the batch,
+    /// is left exactly as it was.
+    #[test]
+    fn store_manifest_rejects_a_tampered_chunk_at_any_position() {
+        let mut catalog = FileCatalog::new();
+        let payload = |i: usize| bytes::Bytes::from(vec![i as u8; 1 + i * 13 % 200]);
+        let resident: Vec<_> = (0..4)
+            .map(|i| (ChunkHash::of(&payload(i)), payload(i)))
+            .collect();
+        catalog.store_manifest(resident).unwrap();
+        let before = (catalog.file_count(), catalog.store().stats());
+        for n in [1, 7, 8, 9, 64] {
+            for pos in 0..n {
+                let mut chunks: Vec<_> = (0..n)
+                    .map(|i| (ChunkHash::of(&payload(i)), payload(i)))
+                    .collect();
+                let mut tampered = chunks[pos].1.to_vec();
+                tampered[0] ^= 0x80;
+                chunks[pos].1 = bytes::Bytes::from(tampered);
+                let err = catalog.store_manifest(chunks).unwrap_err();
+                assert_eq!(err.claimed, ChunkHash::of(&payload(pos)), "n={n} pos={pos}");
+                let mut expected = payload(pos).to_vec();
+                expected[0] ^= 0x80;
+                assert_eq!(err.actual, ChunkHash::of(&expected), "n={n} pos={pos}");
+                assert_eq!(
+                    (catalog.file_count(), catalog.store().stats()),
+                    before,
+                    "n={n} pos={pos}"
+                );
+            }
+        }
     }
 
     #[test]

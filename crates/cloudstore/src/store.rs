@@ -114,18 +114,33 @@ impl ChunkStore {
                 actual,
             });
         }
-        self.logical_bytes += data.len() as u64;
-        Ok(match self.entries.get_mut(&hash) {
+        Ok(self.insert_verified(hash, data))
+    }
+
+    /// Stores (or references) a chunk whose payload the caller has
+    /// already hashed to `hash` — the one insert path behind [`put`]
+    /// and the catalog's batch-verified uploads. Returns `true` when the
+    /// payload was physically stored.
+    ///
+    /// The byte counters add wrapping: every stored payload is resident
+    /// in memory, so the true totals fit in `u64` long before they could
+    /// wrap.
+    ///
+    /// [`put`]: ChunkStore::put
+    pub(crate) fn insert_verified(&mut self, hash: ChunkHash, data: Bytes) -> bool {
+        let len = data.len() as u64;
+        self.logical_bytes = self.logical_bytes.wrapping_add(len);
+        match self.entries.get_mut(&hash) {
             Some(entry) => {
                 entry.refs += 1;
                 false
             }
             None => {
-                self.physical_bytes += data.len() as u64;
+                self.physical_bytes = self.physical_bytes.wrapping_add(len);
                 self.entries.insert(hash, Entry { data, refs: 1 });
                 true
             }
-        })
+        }
     }
 
     /// Flips one bit of a stored payload in place — fault injection for
@@ -141,7 +156,7 @@ impl ChunkStore {
         }
         let mut raw = entry.data.to_vec();
         let b = bit % (raw.len() * 8);
-        raw[b / 8] ^= 1 << (b % 8);
+        raw[b / 8] ^= 1u8.wrapping_shl((b % 8) as u32);
         entry.data = Bytes::from(raw);
         true
     }
@@ -149,6 +164,11 @@ impl ChunkStore {
     /// Reads a chunk's payload.
     pub fn get(&self, hash: &ChunkHash) -> Option<Bytes> {
         self.entries.get(hash).map(|e| e.data.clone())
+    }
+
+    /// Borrows a chunk's payload without taking a reference to it.
+    pub(crate) fn payload(&self, hash: &ChunkHash) -> Option<&[u8]> {
+        self.entries.get(hash).map(|e| &e.data[..])
     }
 
     /// True when the chunk is stored.

@@ -23,8 +23,8 @@
 //!
 //! Sim-critical crates: `simcore`, `netsim`, `kvstore`, `core`,
 //! `cloudstore`, `chunking`. Hot-path modules (the panic-freedom set):
-//! `chunking::cdc`, `chunking::sha256`, `kvstore::cache`,
-//! `kvstore::gray`. Fault/liveness enums policed by E001:
+//! `chunking::cdc`, `chunking::sha256`, `cloudstore::catalog`,
+//! `cloudstore::store`, `kvstore::cache`, `kvstore::gray`. Fault/liveness enums policed by E001:
 //! `ByzantineFault`, `ChaosEvent`, `FaultRule`, `FaultScope`,
 //! `Liveness`, `ClusterError`, `DurableError`, `SpoolClass`,
 //! `SpoolDest` and `Member` (a `SimCluster` node's lifecycle state).
@@ -81,6 +81,8 @@ pub const SIM_CRITICAL_CRATES: &[&str] = &[
 pub const HOT_PATH_FILES: &[&str] = &[
     "crates/chunking/src/cdc.rs",
     "crates/chunking/src/sha256.rs",
+    "crates/cloudstore/src/catalog.rs",
+    "crates/cloudstore/src/store.rs",
     "crates/kvstore/src/cache.rs",
     "crates/kvstore/src/gray.rs",
 ];

@@ -101,6 +101,14 @@ mod tests {
         assert!(index.sim_critical && !index.hot_path);
         let cache = context_for("crates/kvstore/src/cache.rs");
         assert!(cache.hot_path);
+        // The cloud catalog verifies every uploaded and restored byte,
+        // so it sits on the ingest hot path too; durable placement
+        // does not.
+        for f in ["catalog", "store"] {
+            let cloud = context_for(&format!("crates/cloudstore/src/{f}.rs"));
+            assert!(cloud.sim_critical && cloud.hot_path, "{f}");
+        }
+        assert!(!context_for("crates/cloudstore/src/durable.rs").hot_path);
         let root = context_for("src/lib.rs");
         assert!(!root.sim_critical && root.d002_applies);
     }
