@@ -10,22 +10,54 @@
 //! [`IntegrityStats`] — detected corruption is a typed event, never a
 //! panic and never silently-accepted data.
 
-/// Streaming 64-bit checksum: FNV-1a over the input with a splitmix64
-/// avalanche finisher (the same construction as the ring's `key_token`,
-/// under a different offset basis so index tokens and checksums never
-/// collide structurally).
+/// The 64-bit FNV prime: the multiplier of every mixing step.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Rotation applied after each word's multiply. Any amount keeps the
+/// step a bijection; a non-zero one moves a flipped bit off its own
+/// position, so the same flip in the next word cannot cancel it.
+const WORD_ROTATION: u32 = 29;
+
+/// Streaming 64-bit checksum, mixed one 8-byte word at a time.
+///
+/// Each little-endian word `w` of the input steps the state through
+/// `state = rotl((state ^ w) · p, 29)`, `p` the 64-bit FNV prime; the last
+/// `len % 8` bytes go through byte-wise FNV-1a (`state = (state ^ b) · p`)
+/// and a splitmix64 avalanche finishes the digest. The offset basis is
+/// the ring's `key_token` basis perturbed, so index tokens and checksums
+/// never collide structurally.
+///
+/// For a fixed input word every step is a bijection of the state, and
+/// for a fixed state it is a bijection of the word, so any change
+/// confined to one word (or one tail byte) always changes the digest.
+/// The rotation keeps equal bit flips in two different words from
+/// cancelling, which a plain word-wise FNV lets through at bit 63.
+///
+/// Streaming: any split of the input across [`Checksum64::update`] calls
+/// gives the one-shot digest; at most 7 bytes wait for their word.
 ///
 /// Not cryptographic — it detects the random bit flips the fault model
 /// injects, like the CRCs real storage engines use.
 #[derive(Debug, Clone, Copy)]
 pub struct Checksum64 {
     state: u64,
+    /// Bytes of a word not yet complete; only `pending[..pending_len]`
+    /// is live.
+    pending: [u8; 8],
+    pending_len: usize,
 }
 
 impl Default for Checksum64 {
     fn default() -> Self {
         Checksum64::new()
     }
+}
+
+/// One word step: xor, FNV multiply, rotate.
+fn mix_word(state: u64, word: u64) -> u64 {
+    (state ^ word)
+        .wrapping_mul(FNV_PRIME)
+        .rotate_left(WORD_ROTATION)
 }
 
 impl Checksum64 {
@@ -35,15 +67,41 @@ impl Checksum64 {
         // the ring's `key_token` of the same bytes.
         Checksum64 {
             state: 0xcbf2_9ce4_8422_2325 ^ 0x5bd1_e995,
+            pending: [0; 8],
+            pending_len: 0,
         }
     }
 
     /// Mixes `bytes` into the state.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= b as u64;
-            self.state = self.state.wrapping_mul(0x1000_0000_01b3);
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        if self.pending_len > 0 {
+            let take = (8 - self.pending_len).min(bytes.len());
+            let (head, rest) = bytes.split_at(take);
+            let end = self.pending_len.wrapping_add(take);
+            if let Some(slot) = self.pending.get_mut(self.pending_len..end) {
+                slot.copy_from_slice(head);
+            }
+            self.pending_len = end;
+            bytes = rest;
+            if self.pending_len < 8 {
+                return;
+            }
+            self.state = mix_word(self.state, u64::from_le_bytes(self.pending));
+            self.pending_len = 0;
         }
+        let mut words = bytes.chunks_exact(8);
+        let mut state = self.state;
+        for word in &mut words {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(word);
+            state = mix_word(state, u64::from_le_bytes(w));
+        }
+        self.state = state;
+        let tail = words.remainder();
+        if let Some(slot) = self.pending.get_mut(..tail.len()) {
+            slot.copy_from_slice(tail);
+        }
+        self.pending_len = tail.len();
     }
 
     /// Mixes a length-prefixed field boundary into the state, so
@@ -52,9 +110,14 @@ impl Checksum64 {
         self.update(&v.to_le_bytes());
     }
 
-    /// Finalizes with a splitmix64 avalanche.
+    /// Mixes the pending tail bytes with byte-wise FNV-1a, then
+    /// finalizes with a splitmix64 avalanche. Does not consume the
+    /// state: more input may follow.
     pub fn finish(&self) -> u64 {
         let mut z = self.state;
+        for &b in self.pending.get(..self.pending_len).unwrap_or(&[]) {
+            z = (z ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
@@ -138,17 +201,23 @@ impl IntegrityStats {
     /// Accumulates another stats block into this one (used to carry a
     /// node's counters across crash-stop/restart cycles).
     pub fn merge(&mut self, other: &IntegrityStats) {
-        self.frames_rejected += other.frames_rejected;
-        self.entries_scrubbed += other.entries_scrubbed;
-        self.scrub_bytes += other.scrub_bytes;
-        self.mismatches_found += other.mismatches_found;
-        self.read_repairs += other.read_repairs;
-        self.cloud_decodes += other.cloud_decodes;
-        self.quarantines += other.quarantines;
-        self.lost_records += other.lost_records;
-        self.torn_tails_truncated += other.torn_tails_truncated;
-        self.snapshot_fallbacks += other.snapshot_fallbacks;
-        self.wal_corrupt_bodies += other.wal_corrupt_bodies;
+        self.frames_rejected = self.frames_rejected.saturating_add(other.frames_rejected);
+        self.entries_scrubbed = self.entries_scrubbed.saturating_add(other.entries_scrubbed);
+        self.scrub_bytes = self.scrub_bytes.saturating_add(other.scrub_bytes);
+        self.mismatches_found = self.mismatches_found.saturating_add(other.mismatches_found);
+        self.read_repairs = self.read_repairs.saturating_add(other.read_repairs);
+        self.cloud_decodes = self.cloud_decodes.saturating_add(other.cloud_decodes);
+        self.quarantines = self.quarantines.saturating_add(other.quarantines);
+        self.lost_records = self.lost_records.saturating_add(other.lost_records);
+        self.torn_tails_truncated = self
+            .torn_tails_truncated
+            .saturating_add(other.torn_tails_truncated);
+        self.snapshot_fallbacks = self
+            .snapshot_fallbacks
+            .saturating_add(other.snapshot_fallbacks);
+        self.wal_corrupt_bodies = self
+            .wal_corrupt_bodies
+            .saturating_add(other.wal_corrupt_bodies);
     }
 
     /// True when nothing was detected, repaired, or lost.
@@ -179,6 +248,108 @@ mod tests {
                 assert_ne!(checksum64(&rotted), clean, "flip {byte}:{bit} undetected");
             }
         }
+    }
+
+    /// Deterministic, non-repeating test bytes.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(37).wrapping_add(11))
+            .collect()
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_detected_at_every_length() {
+        // 0..=72 covers whole words plus every tail length 0..=7.
+        for len in 0..=72 {
+            let base = pattern(len);
+            let clean = checksum64(&base);
+            for byte in 0..len {
+                for bit in 0..8 {
+                    let mut rotted = base.clone();
+                    rotted[byte] ^= 1 << bit;
+                    assert_ne!(
+                        checksum64(&rotted),
+                        clean,
+                        "len {len}: flip {byte}:{bit} undetected"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn same_bit_flips_in_two_words_do_not_cancel() {
+        // Word-wise FNV without the rotation: flipping bit 63 of a word
+        // flips only bit 63 of the next state (the prime is odd), so the
+        // same flip in the following word cancels it.
+        fn plain_word_fnv(bytes: &[u8]) -> u64 {
+            bytes.chunks_exact(8).fold(0xcbf2_9ce4_8422_2325, |s, w| {
+                let w = u64::from_le_bytes(w.try_into().unwrap());
+                (s ^ w).wrapping_mul(FNV_PRIME)
+            })
+        }
+        let flip_pair = |base: &[u8], i: usize, j: usize, bit: usize| {
+            let mut rotted = base.to_vec();
+            rotted[i * 8 + bit / 8] ^= 1 << (bit % 8);
+            rotted[j * 8 + bit / 8] ^= 1 << (bit % 8);
+            rotted
+        };
+        let base = pattern(64);
+        let cancelled = flip_pair(&base, 0, 1, 63);
+        assert_eq!(plain_word_fnv(&cancelled), plain_word_fnv(&base));
+
+        for len in [16, 64, 69] {
+            let base = pattern(len);
+            let clean = checksum64(&base);
+            let words = len / 8;
+            for i in 0..words {
+                for j in i + 1..words {
+                    for bit in 0..64 {
+                        let rotted = flip_pair(&base, i, j, bit);
+                        assert_ne!(
+                            checksum64(&rotted),
+                            clean,
+                            "len {len}: bit {bit} of words {i} and {j} cancelled"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn any_split_across_updates_gives_the_one_shot_digest() {
+        ef_simcore::check_property(
+            "any_split_across_updates_gives_the_one_shot_digest",
+            256,
+            |rng| {
+                let mut input = vec![0u8; rng.index(200)];
+                rng.fill_bytes(&mut input);
+                let mut cuts: Vec<usize> = (0..rng.index(6))
+                    .map(|_| rng.index(input.len() + 1))
+                    .collect();
+                cuts.sort_unstable();
+                let mut c = Checksum64::new();
+                let mut at = 0;
+                for cut in cuts.into_iter().chain([input.len()]) {
+                    c.update(&input[at..cut]);
+                    // finish() is a peek: it must not disturb the stream.
+                    let _ = c.finish();
+                    at = cut;
+                }
+                assert_eq!(c.finish(), checksum64(&input), "len {}", input.len());
+            },
+        );
+    }
+
+    #[test]
+    fn digest_is_pinned() {
+        // Changing the construction changes every stored checksum: make
+        // that a deliberate edit, never a silent drift.
+        assert_eq!(
+            checksum64(b"the quick brown fox jumps over the lazy dog"),
+            11_928_730_729_620_982_635
+        );
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use crate::integrity::{checksum64, IntegrityError};
 use bytes::Bytes;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// A write-side entry: a value (with the checksum recorded at write
 /// time) or a tombstone.
@@ -84,9 +85,12 @@ impl StorageEngine {
     /// Writes a key-value pair. Returns `true` when the key was not live
     /// before (useful for dedup's unique-chunk decision).
     pub fn put(&mut self, key: Bytes, value: Bytes) -> bool {
-        self.writes += 1;
+        self.writes = self.writes.wrapping_add(1);
         let existed = self.get_slot(&key).is_some();
-        self.memtable_bytes += key.len() + value.len();
+        self.memtable_bytes = self
+            .memtable_bytes
+            .saturating_add(key.len())
+            .saturating_add(value.len());
         let crc = checksum64(&value);
         self.memtable.insert(key, Slot::Value(value, crc));
         self.maybe_flush();
@@ -97,7 +101,7 @@ impl StorageEngine {
     /// callers that tolerate rot, e.g. test oracles). Replica-serving
     /// reads go through [`StorageEngine::get_verified`].
     pub fn get(&mut self, key: &[u8]) -> Option<Bytes> {
-        self.reads += 1;
+        self.reads = self.reads.wrapping_add(1);
         self.get_slot(key)
     }
 
@@ -110,7 +114,7 @@ impl StorageEngine {
     /// match their checksum (at-rest bit rot). The corrupt entry is left
     /// in place; the caller decides whether to delete and repair it.
     pub fn get_verified(&mut self, key: &[u8]) -> Result<Option<Bytes>, IntegrityError> {
-        self.reads += 1;
+        self.reads = self.reads.wrapping_add(1);
         match self.newest_slot(key) {
             Some(Slot::Value(v, crc)) => {
                 let actual = checksum64(v);
@@ -178,7 +182,7 @@ impl StorageEngine {
             }
             let mut v = data.to_vec();
             let i = (bit / 8) % v.len();
-            v[i] ^= 1 << (bit % 8);
+            v[i] ^= 1u8.wrapping_shl((bit % 8) as u32);
             *data = Bytes::from(v);
             return Some(key);
         }
@@ -192,8 +196,8 @@ impl StorageEngine {
 
     /// Deletes `key` by writing a tombstone.
     pub fn delete(&mut self, key: Bytes) {
-        self.writes += 1;
-        self.memtable_bytes += key.len();
+        self.writes = self.writes.wrapping_add(1);
+        self.memtable_bytes = self.memtable_bytes.saturating_add(key.len());
         self.memtable.insert(key, Slot::Tombstone);
         self.maybe_flush();
     }
@@ -258,61 +262,61 @@ impl StorageEngine {
     /// is the storage half of the background scrub pipeline: the sim
     /// driver charges the returned byte count as CPU/IO work and repairs
     /// the keys reported corrupt.
+    ///
+    /// Each step seeks the next key after the previous one in the
+    /// memtable and in every segment, so a slice costs O(entries visited
+    /// · sources · log n), independent of the store's size.
     pub fn scrub(&self, cursor: Option<&Bytes>, byte_budget: u64) -> ScrubChunk {
-        let mut live: BTreeMap<Bytes, Option<(Bytes, u64)>> = BTreeMap::new();
-        for (k, v) in &self.memtable {
-            live.entry(k.clone()).or_insert(match v {
-                Slot::Value(data, crc) => Some((data.clone(), *crc)),
-                Slot::Tombstone => None,
-            });
-        }
-        for seg in self.segments.iter().rev() {
-            for (k, v) in seg {
-                live.entry(k.clone()).or_insert(match v {
-                    Slot::Value(data, crc) => Some((data.clone(), *crc)),
-                    Slot::Tombstone => None,
-                });
-            }
-        }
         let mut out = ScrubChunk::default();
-        let mut last = None;
-        let mut exhausted = true;
-        for (k, slot) in live {
-            if let Some(c) = cursor {
-                if k <= *c {
-                    continue;
-                }
+        let mut at: Option<&[u8]> = cursor.map(|c| c.as_ref());
+        while let Some(key) = self.next_key_after(at) {
+            at = Some(key.as_ref());
+            let Some(Slot::Value(data, crc)) = self.newest_slot(key) else {
+                continue;
+            };
+            out.entries = out.entries.wrapping_add(1);
+            out.bytes = out
+                .bytes
+                .saturating_add(key.len() as u64)
+                .saturating_add(data.len() as u64);
+            if checksum64(data) != *crc {
+                out.corrupt.push(key.clone());
             }
-            let Some((data, crc)) = slot else { continue };
-            out.entries += 1;
-            out.bytes += (k.len() + data.len()) as u64;
-            if checksum64(&data) != crc {
-                out.corrupt.push(k.clone());
-            }
-            last = Some(k);
             if out.bytes >= byte_budget {
-                exhausted = false;
+                out.next_cursor = Some(key.clone());
                 break;
             }
         }
-        out.next_cursor = if exhausted { None } else { last };
         out
+    }
+
+    /// The smallest key strictly after `after` (from the start when
+    /// `None`) in the memtable or any segment, live or tombstoned.
+    fn next_key_after(&self, after: Option<&[u8]>) -> Option<&Bytes> {
+        let lower = after.map_or(Bound::Unbounded, Bound::Excluded);
+        std::iter::once(&self.memtable)
+            .chain(&self.segments)
+            .filter_map(|m| m.range::<[u8], _>((lower, Bound::Unbounded)).next())
+            .map(|(k, _)| k)
+            .min()
     }
 
     /// Current engine statistics.
     pub fn stats(&self) -> StorageStats {
         let mut live_keys = 0;
-        let mut live_bytes = 0;
+        let mut live_bytes = 0usize;
         for (k, v) in self.iter_live() {
             live_keys += 1;
-            live_bytes += k.len() + v.len();
+            live_bytes = live_bytes.saturating_add(k.len()).saturating_add(v.len());
         }
         StorageStats {
             live_keys,
             live_bytes,
             segments: self.segments.len(),
-            physical_entries: self.memtable.len()
-                + self.segments.iter().map(|s| s.len()).sum::<usize>(),
+            physical_entries: self
+                .segments
+                .iter()
+                .fold(self.memtable.len(), |n, s| n.saturating_add(s.len())),
         }
     }
 
@@ -417,46 +421,64 @@ fn encode_record(buf: &mut Vec<u8>, key: &[u8], value: Option<&[u8]>) {
     buf.extend_from_slice(&crc.to_le_bytes());
 }
 
+/// One record's fields, borrowed from the log bytes: the key, and the
+/// value of a put (`None` for a delete).
+type RecordRef<'a> = (&'a [u8], Option<&'a [u8]>);
+
+/// An owned copy of a borrowed record.
+fn to_owned_record((key, value): RecordRef<'_>) -> WalRecord {
+    let key = Bytes::copy_from_slice(key);
+    match value {
+        Some(v) => WalRecord::Put(key, Bytes::copy_from_slice(v)),
+        None => WalRecord::Delete(key),
+    }
+}
+
 /// Decodes the record starting at `offset`, verifying its trailing
-/// checksum; `Ok(None)` at end of input.
-fn decode_record(bytes: &[u8], offset: usize) -> Result<Option<(WalRecord, usize)>, WalError> {
+/// checksum; `Ok(None)` at end of input. Key and value are borrowed
+/// from `bytes`.
+fn decode_record(bytes: &[u8], offset: usize) -> Result<Option<(RecordRef<'_>, usize)>, WalError> {
     if offset == bytes.len() {
         return Ok(None);
     }
-    let take = |at: usize, n: usize| -> Result<&[u8], WalError> {
-        bytes.get(at..at + n).ok_or(WalError::Truncated { offset })
+    // Lengths come from disk: every field end is checked arithmetic, so
+    // a rotted length reads as a torn record, never as an overflow.
+    let torn = WalError::Truncated { offset };
+    let field = |at: usize, n: usize| -> Result<(&[u8], usize), WalError> {
+        let end = at.checked_add(n).ok_or(torn)?;
+        Ok((bytes.get(at..end).ok_or(torn)?, end))
     };
-    let tag = bytes[offset];
-    let key_len_bytes: [u8; 4] = take(offset + 1, 4)?
-        .try_into()
-        .map_err(|_| WalError::Truncated { offset })?;
-    let key_len = u32::from_le_bytes(key_len_bytes) as usize;
-    let key = Bytes::copy_from_slice(take(offset + 5, key_len)?);
-    let mut next = offset + 5 + key_len;
-    let record = match tag {
+    let len_field = |at: usize| -> Result<(usize, usize), WalError> {
+        let (le, end) = field(at, 4)?;
+        let mut buf = [0u8; 4];
+        buf.copy_from_slice(le);
+        Ok((u32::from_le_bytes(buf) as usize, end))
+    };
+    let tag = *bytes.get(offset).ok_or(torn)?;
+    let (key_len, key_at) = len_field(offset + 1)?;
+    let (key, mut body_end) = field(key_at, key_len)?;
+    let value = match tag {
         WAL_TAG_PUT => {
-            let val_len_bytes: [u8; 4] = take(next, 4)?
-                .try_into()
-                .map_err(|_| WalError::Truncated { offset })?;
-            let val_len = u32::from_le_bytes(val_len_bytes) as usize;
-            let value = Bytes::copy_from_slice(take(next + 4, val_len)?);
-            next += 4 + val_len;
-            WalRecord::Put(key, value)
+            let (val_len, val_at) = len_field(body_end)?;
+            let (value, end) = field(val_at, val_len)?;
+            body_end = end;
+            Some(value)
         }
-        WAL_TAG_DELETE => WalRecord::Delete(key),
+        WAL_TAG_DELETE => None,
         tag => return Err(WalError::BadTag { offset, tag }),
     };
-    let crc_bytes: [u8; 8] = take(next, 8)?
-        .try_into()
-        .map_err(|_| WalError::Truncated { offset })?;
-    if checksum64(&bytes[offset..next]) != u64::from_le_bytes(crc_bytes) {
+    let (crc, next) = field(body_end, 8)?;
+    let mut buf = [0u8; 8];
+    buf.copy_from_slice(crc);
+    let body = bytes.get(offset..body_end).ok_or(torn)?;
+    if checksum64(body) != u64::from_le_bytes(buf) {
         return Err(WalError::BadChecksum { offset });
     }
-    Ok(Some((record, next + 8)))
+    Ok(Some(((key, value), next)))
 }
 
 /// Decodes every record in one log section (snapshot or tail).
-fn decode_section(bytes: &[u8]) -> Result<Vec<WalRecord>, WalError> {
+fn decode_section(bytes: &[u8]) -> Result<Vec<RecordRef<'_>>, WalError> {
     let mut out = Vec::new();
     let mut offset = 0;
     while let Some((record, next)) = decode_record(bytes, offset)? {
@@ -464,6 +486,13 @@ fn decode_section(bytes: &[u8]) -> Result<Vec<WalRecord>, WalError> {
         offset = next;
     }
     Ok(out)
+}
+
+/// Encoded size of a put record: tag, two lengths, key, value, checksum.
+fn put_record_len(key: &[u8], value: &[u8]) -> usize {
+    (1 + 4 + 4 + 8usize)
+        .saturating_add(key.len())
+        .saturating_add(value.len())
 }
 
 /// A deterministic per-node write-ahead log with periodic snapshots.
@@ -551,16 +580,16 @@ impl WriteAheadLog {
     /// Appends a put record.
     pub fn append_put(&mut self, key: &[u8], value: &[u8]) {
         encode_record(&mut self.tail, key, Some(value));
-        self.tail_records += 1;
-        self.appended += 1;
+        self.tail_records = self.tail_records.wrapping_add(1);
+        self.appended = self.appended.wrapping_add(1);
         self.maybe_snapshot();
     }
 
     /// Appends a delete (tombstone) record.
     pub fn append_delete(&mut self, key: &[u8]) {
         encode_record(&mut self.tail, key, None);
-        self.tail_records += 1;
-        self.appended += 1;
+        self.tail_records = self.tail_records.wrapping_add(1);
+        self.appended = self.appended.wrapping_add(1);
         self.maybe_snapshot();
     }
 
@@ -589,9 +618,13 @@ impl WriteAheadLog {
     /// [`WalError`] when a record is torn, has an unknown tag, or fails
     /// its checksum.
     pub fn replay(&self) -> Result<Vec<WalRecord>, WalError> {
-        let mut out = decode_section(&self.snapshot)?;
-        out.extend(decode_section(&self.tail)?);
-        Ok(out)
+        let snapshot = decode_section(&self.snapshot)?;
+        let tail = decode_section(&self.tail)?;
+        Ok(snapshot
+            .into_iter()
+            .chain(tail)
+            .map(to_owned_record)
+            .collect())
     }
 
     /// Replays the log for a node restart, applying the recovery lattice
@@ -615,6 +648,15 @@ impl WriteAheadLog {
     /// [`WalError`] when the body is corrupt beyond the snapshot
     /// fallback: never silently-accepted data.
     pub fn recover_replay(&mut self) -> Result<(Vec<WalRecord>, ReplayNotes), WalError> {
+        let mut records = Vec::new();
+        let notes = self.recover(|record| records.push(to_owned_record(record)))?;
+        Ok((records, notes))
+    }
+
+    /// The recovery lattice of [`WriteAheadLog::recover_replay`]: heals
+    /// the log in place and hands every surviving record, in append
+    /// order, to `visit`. On error `visit` may have seen a prefix.
+    fn recover(&mut self, mut visit: impl FnMut(RecordRef<'_>)) -> Result<ReplayNotes, WalError> {
         let mut notes = ReplayNotes::default();
         let snapshot_clean =
             self.snapshot.is_empty() || checksum64(&self.snapshot) == self.snapshot_crc;
@@ -623,8 +665,8 @@ impl WriteAheadLog {
         } else {
             Err(WalError::BadChecksum { offset: 0 })
         };
-        let mut records = match decoded {
-            Ok(records) => records,
+        match decoded {
+            Ok(records) => records.into_iter().for_each(&mut visit),
             Err(e) => {
                 // The compacted prefix is rot-damaged: fall back to the
                 // stashed pre-compaction log, if it is intact.
@@ -639,35 +681,53 @@ impl WriteAheadLog {
                 let mut rebuilt = self.prev_snapshot.clone();
                 rebuilt.extend_from_slice(&self.prev_tail);
                 let records = decode_section(&rebuilt).map_err(|_| e)?;
-                self.snapshot = rebuilt;
-                self.snapshot_crc = checksum64(&self.snapshot);
                 self.snapshot_entries = records.len() as u64;
-                self.snapshot_fallbacks += 1;
+                records.into_iter().for_each(&mut visit);
+                self.snapshot_crc = checksum64(&rebuilt);
+                self.snapshot = rebuilt;
+                self.snapshot_fallbacks = self.snapshot_fallbacks.wrapping_add(1);
                 notes.snapshot_fallback = true;
-                records
             }
-        };
+        }
         let mut offset = 0;
         let mut tail_count = 0u64;
         loop {
             match decode_record(&self.tail, offset) {
                 Ok(None) => break,
                 Ok(Some((record, next))) => {
-                    records.push(record);
-                    tail_count += 1;
+                    visit(record);
+                    tail_count = tail_count.wrapping_add(1);
                     offset = next;
                 }
                 Err(WalError::Truncated { .. }) => {
                     self.tail.truncate(offset);
                     self.tail_records = tail_count;
-                    self.torn_tails_truncated += 1;
+                    self.torn_tails_truncated = self.torn_tails_truncated.wrapping_add(1);
                     notes.torn_tail = true;
                     break;
                 }
                 Err(e) => return Err(e),
             }
         }
-        Ok((records, notes))
+        Ok(notes)
+    }
+
+    /// Verifies the log as it stands — the snapshot block checksum, every
+    /// record checksum, no torn tail — and folds it into its live key
+    /// set, newest write per key, borrowing keys and values from the log.
+    fn fold_verified(&self) -> Result<BTreeMap<&[u8], Option<&[u8]>>, WalError> {
+        if !self.snapshot.is_empty() && checksum64(&self.snapshot) != self.snapshot_crc {
+            return Err(WalError::BadChecksum { offset: 0 });
+        }
+        let mut live = BTreeMap::new();
+        for section in [&self.snapshot, &self.tail] {
+            let mut offset = 0;
+            while let Some(((key, value), next)) = decode_record(section, offset)? {
+                live.insert(key, value);
+                offset = next;
+            }
+        }
+        Ok(live)
     }
 
     /// Folds the full log into its live key set and re-encodes it as the
@@ -694,34 +754,34 @@ impl WriteAheadLog {
             // Known-corrupt: keep the log as-is for recovery/diagnosis.
             return;
         }
-        let records = match self.recover_replay() {
-            Ok((records, _)) => records,
-            Err(e) => {
-                self.integrity_error = Some(e);
-                return;
+        // A clean log is verified and folded in one pass, without
+        // copying a key or value. Damage the recovery lattice can heal (a
+        // rotted snapshot, a torn tail) is healed first, then the healed
+        // log is folded; damage it cannot heal is held, sticky.
+        let live = match self.fold_verified() {
+            Ok(live) => live,
+            Err(_) => {
+                let healed = self.recover(|_| {}).and_then(|_| self.fold_verified());
+                match healed {
+                    Ok(live) => live,
+                    Err(e) => {
+                        self.integrity_error = Some(e);
+                        return;
+                    }
+                }
             }
         };
-        let mut live: BTreeMap<Bytes, Option<Bytes>> = BTreeMap::new();
-        for record in records {
-            match record {
-                WalRecord::Put(k, v) => {
-                    live.insert(k, Some(v));
-                }
-                WalRecord::Delete(k) => {
-                    live.insert(k, None);
-                }
-            }
-        }
-        let mut snapshot = Vec::new();
+        // A snapshot is the complete state: absent keys are absent, so
+        // tombstones need not be carried forward.
+        let puts = || live.iter().filter_map(|(k, v)| v.map(|v| (*k, v)));
+        let size = puts().fold(0usize, |n, (k, v)| n.saturating_add(put_record_len(k, v)));
+        let mut snapshot = Vec::with_capacity(size);
         let mut entries = 0u64;
-        for (k, v) in &live {
-            // A snapshot is the complete state: absent keys are absent,
-            // so tombstones need not be carried forward.
-            if let Some(v) = v {
-                encode_record(&mut snapshot, k, Some(v));
-                entries += 1;
-            }
+        for (k, v) in puts() {
+            encode_record(&mut snapshot, k, Some(v));
+            entries = entries.wrapping_add(1);
         }
+        drop(live);
         self.prev_snapshot = std::mem::take(&mut self.snapshot);
         self.prev_snapshot_crc = self.snapshot_crc;
         self.prev_tail = std::mem::take(&mut self.tail);
@@ -729,19 +789,19 @@ impl WriteAheadLog {
         self.snapshot_entries = entries;
         self.snapshot_crc = checksum64(&self.snapshot);
         self.tail_records = 0;
-        self.snapshots_taken += 1;
+        self.snapshots_taken = self.snapshots_taken.wrapping_add(1);
     }
 
     /// Chaos hook: flips one bit in the on-disk byte space (snapshot
     /// first, then tail) *without* touching any checksum — simulated
     /// at-rest bit rot. Returns `false` when the log is empty.
     pub fn flip_bit(&mut self, nth_byte: usize, bit: usize) -> bool {
-        let total = self.snapshot.len() + self.tail.len();
+        let total = self.snapshot.len().saturating_add(self.tail.len());
         if total == 0 {
             return false;
         }
         let i = nth_byte % total;
-        let mask = 1u8 << (bit % 8);
+        let mask = 1u8.wrapping_shl((bit % 8) as u32);
         if i < self.snapshot.len() {
             self.snapshot[i] ^= mask;
         } else {
@@ -770,7 +830,7 @@ impl WriteAheadLog {
 
     /// Records currently on disk (snapshot entries + tail records).
     pub fn record_count(&self) -> u64 {
-        self.snapshot_entries + self.tail_records
+        self.snapshot_entries.saturating_add(self.tail_records)
     }
 
     /// Total records ever appended (pre-compaction).
@@ -785,7 +845,7 @@ impl WriteAheadLog {
 
     /// Current on-disk footprint in bytes.
     pub fn len_bytes(&self) -> usize {
-        self.snapshot.len() + self.tail.len()
+        self.snapshot.len().saturating_add(self.tail.len())
     }
 }
 
@@ -1073,6 +1133,87 @@ mod tests {
         assert_eq!(corrupt, vec![rotted]);
     }
 
+    /// The scrub as it was before it walked from the cursor: rebuild
+    /// the whole live map, then skip to the cursor. The reference the
+    /// cursor walk must match.
+    fn scrub_by_rebuild(s: &StorageEngine, cursor: Option<&Bytes>, byte_budget: u64) -> ScrubChunk {
+        let mut live: BTreeMap<Bytes, Option<(Bytes, u64)>> = BTreeMap::new();
+        for seg in std::iter::once(&s.memtable).chain(s.segments.iter().rev()) {
+            for (k, v) in seg {
+                live.entry(k.clone()).or_insert(match v {
+                    Slot::Value(data, crc) => Some((data.clone(), *crc)),
+                    Slot::Tombstone => None,
+                });
+            }
+        }
+        let mut out = ScrubChunk::default();
+        let mut last = None;
+        let mut exhausted = true;
+        for (k, slot) in live {
+            if cursor.is_some_and(|c| k <= *c) {
+                continue;
+            }
+            let Some((data, crc)) = slot else { continue };
+            out.entries += 1;
+            out.bytes += (k.len() + data.len()) as u64;
+            if checksum64(&data) != crc {
+                out.corrupt.push(k.clone());
+            }
+            last = Some(k);
+            if out.bytes >= byte_budget {
+                exhausted = false;
+                break;
+            }
+        }
+        out.next_cursor = if exhausted { None } else { last };
+        out
+    }
+
+    /// A key from a small pool, so writes shadow and delete each other.
+    fn pooled_key(rng: &mut ef_simcore::DetRng) -> Bytes {
+        Bytes::from(format!("k{}", rng.index(16)).into_bytes())
+    }
+
+    #[test]
+    fn cursor_walk_scrub_matches_the_rebuild() {
+        ef_simcore::check_property("cursor_walk_scrub_matches_the_rebuild", 64, |rng| {
+            let mut s = StorageEngine::new(8 + rng.index(64));
+            for _ in 0..rng.index(80) {
+                match rng.index(10) {
+                    0..=5 => {
+                        let mut v = vec![0u8; rng.index(12)];
+                        rng.fill_bytes(&mut v);
+                        s.put(pooled_key(rng), Bytes::from(v));
+                    }
+                    6 | 7 => s.delete(pooled_key(rng)),
+                    8 => s.flush(),
+                    _ => {
+                        s.corrupt_nth_value(rng.index(32), rng.index(96));
+                    }
+                }
+            }
+            if rng.index(8) == 0 {
+                s.compact();
+            }
+            for _ in 0..16 {
+                let cursor = match rng.index(3) {
+                    0 => None,
+                    // Pool keys, plus a few never written.
+                    _ => Some(Bytes::from(format!("k{}", rng.index(20)).into_bytes())),
+                };
+                let budget = match rng.index(4) {
+                    0 => u64::MAX,
+                    _ => rng.index(40) as u64,
+                };
+                assert_eq!(
+                    s.scrub(cursor.as_ref(), budget),
+                    scrub_by_rebuild(&s, cursor.as_ref(), budget),
+                    "cursor {cursor:?}, budget {budget}"
+                );
+            }
+        });
+    }
+
     #[test]
     fn scrub_of_clean_store_is_quiet() {
         let mut s = StorageEngine::new(1 << 20);
@@ -1216,6 +1357,77 @@ mod tests {
         wal.flip_bit(3, 5); // flipping back restores the bytes
         assert_eq!(wal.tail, before);
         assert!(wal.replay().is_ok());
+    }
+
+    /// Compaction as it was before it folded borrowed slices: owned
+    /// records from `recover_replay` into a `BTreeMap`, re-encoded.
+    fn snapshot_by_owned_fold(wal: &mut WriteAheadLog) -> (Vec<u8>, u64) {
+        let (records, _) = wal.recover_replay().expect("clean log");
+        let mut live: BTreeMap<Bytes, Option<Bytes>> = BTreeMap::new();
+        for record in records {
+            match record {
+                WalRecord::Put(k, v) => live.insert(k, Some(v)),
+                WalRecord::Delete(k) => live.insert(k, None),
+            };
+        }
+        let mut snapshot = Vec::new();
+        let mut entries = 0;
+        for (k, v) in &live {
+            if let Some(v) = v {
+                encode_record(&mut snapshot, k, Some(v));
+                entries += 1;
+            }
+        }
+        (snapshot, entries)
+    }
+
+    #[test]
+    fn borrowed_fold_compaction_matches_the_owned_fold() {
+        ef_simcore::check_property(
+            "borrowed_fold_compaction_matches_the_owned_fold",
+            64,
+            |rng| {
+                let mut wal = WriteAheadLog::new(1 + rng.index(8) as u64);
+                let mut compactions = 0;
+                for _ in 0..rng.index(160) {
+                    if rng.index(16) == 0 && !wal.snapshot.is_empty() {
+                        // A rotted snapshot: compaction falls back first.
+                        wal.flip_bit(rng.index(wal.snapshot.len()), rng.index(8));
+                    }
+                    let key = pooled_key(rng);
+                    let value = if rng.index(4) == 0 {
+                        None
+                    } else {
+                        let mut v = vec![0u8; rng.index(24)];
+                        rng.fill_bytes(&mut v);
+                        Some(v)
+                    };
+                    // The reference: the same log, same record, compacted
+                    // by the owned fold.
+                    let mut reference = wal.clone();
+                    reference.snapshot_every = 0;
+                    match &value {
+                        Some(v) => {
+                            wal.append_put(&key, v);
+                            reference.append_put(&key, v);
+                        }
+                        None => {
+                            wal.append_delete(&key);
+                            reference.append_delete(&key);
+                        }
+                    }
+                    if wal.snapshots_taken() > compactions {
+                        compactions = wal.snapshots_taken();
+                        let (snapshot, entries) = snapshot_by_owned_fold(&mut reference);
+                        assert_eq!(wal.snapshot, snapshot);
+                        assert_eq!(wal.snapshot_entries, entries);
+                        assert_eq!(wal.snapshot_crc, checksum64(&snapshot));
+                        assert_eq!(wal.snapshot_fallbacks(), reference.snapshot_fallbacks());
+                    }
+                }
+                assert_eq!(wal.integrity_error(), None);
+            },
+        );
     }
 
     /// A snapshot with flipped bits is rejected by its block checksum

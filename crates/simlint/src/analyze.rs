@@ -431,9 +431,10 @@ fn check_panics(toks: &[Tok], excluded: &[bool], rule: RuleId, findings: &mut Ve
 
 /// P001: postfix indexing `base[expr]` in a hot-path module with no
 /// covering bound check in the enclosing function. Exempt: fixed-size
-/// arrays (bounded by construction), lone integer-literal indices, and
-/// range slices `base[a..b]`. A bound check is any `base.len()` /
-/// `base.get(..)` / `base.is_empty()` mention in the same function.
+/// arrays (bounded by construction), lone integer-literal indices,
+/// range slices `base[a..b]`, and slice types after a lifetime
+/// (`&'a [u8]`). A bound check is any `base.len()` / `base.get(..)` /
+/// `base.is_empty()` mention in the same function.
 fn check_p001(toks: &[Tok], excluded: &[bool], findings: &mut Vec<Finding>) {
     let fixed = fixed_array_names(toks);
     let fns = fn_extents(toks);
@@ -444,6 +445,9 @@ fn check_p001(toks: &[Tok], excluded: &[bool], findings: &mut Vec<Finding>) {
         let base = &toks[i - 1];
         if base.kind != TokKind::Ident || NON_OPERAND_KEYWORDS.contains(&base.text.as_str()) {
             continue;
+        }
+        if i >= 2 && is_punct(toks, i - 2, "'") {
+            continue; // `&'a [u8]` — a lifetime before a slice type
         }
         let Some(close) = matching(toks, i, "[", "]") else {
             continue;

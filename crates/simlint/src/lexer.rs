@@ -101,11 +101,13 @@ pub fn lex(src: &str) -> (Vec<Tok>, Vec<Comment>) {
             continue;
         }
         if c == '\'' {
+            // Lifetimes lex as a Punct `'` plus an Ident, so rules can
+            // tell `&'a [u8]` from an index expression.
             if consume_char_or_lifetime(&mut cur) {
                 toks.push(lit(line, col));
+            } else {
+                toks.push(punct('\'', line, col));
             }
-            // Lifetimes lex as a Punct `'` plus an Ident; the ident is
-            // harmless for rule matching.
             continue;
         }
         if c == 'r' || c == 'b' {
@@ -403,8 +405,11 @@ mod tests {
     fn lifetimes_are_not_char_literals() {
         let names = idents("fn f<'a>(x: &'a str) -> &'a str { x }");
         assert!(names.contains(&"str".to_string()));
-        // The lifetime ident is lexed (harmlessly) as an ident.
+        // A lifetime lexes as a `'` punct plus its ident.
         assert!(names.contains(&"a".to_string()));
+        let (toks, _) = lex("&'a [u8]");
+        assert!(toks[1].kind == TokKind::Punct && toks[1].text == "'");
+        assert_eq!(toks[2].text, "a");
     }
 
     #[test]

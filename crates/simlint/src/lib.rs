@@ -24,7 +24,8 @@
 //! Sim-critical crates: `simcore`, `netsim`, `kvstore`, `core`,
 //! `cloudstore`, `chunking`. Hot-path modules (the panic-freedom set):
 //! `chunking::cdc`, `chunking::sha256`, `cloudstore::catalog`,
-//! `cloudstore::store`, `kvstore::cache`, `kvstore::gray`. Fault/liveness enums policed by E001:
+//! `cloudstore::store`, `kvstore::cache`, `kvstore::gray`,
+//! `kvstore::integrity`, `kvstore::storage`. Fault/liveness enums policed by E001:
 //! `ByzantineFault`, `ChaosEvent`, `FaultRule`, `FaultScope`,
 //! `Liveness`, `ClusterError`, `DurableError`, `SpoolClass`,
 //! `SpoolDest` and `Member` (a `SimCluster` node's lifecycle state).
@@ -85,6 +86,8 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/cloudstore/src/store.rs",
     "crates/kvstore/src/cache.rs",
     "crates/kvstore/src/gray.rs",
+    "crates/kvstore/src/integrity.rs",
+    "crates/kvstore/src/storage.rs",
 ];
 
 /// Fault/liveness enums whose `match`es must stay exhaustive (E001):

@@ -101,6 +101,13 @@ mod tests {
         assert!(index.sim_critical && !index.hot_path);
         let cache = context_for("crates/kvstore/src/cache.rs");
         assert!(cache.hot_path);
+        // Every replicated, logged or uploaded chunk passes through the
+        // checksum and the storage engine/WAL; the simulator does not.
+        for f in ["integrity", "storage"] {
+            let kv = context_for(&format!("crates/kvstore/src/{f}.rs"));
+            assert!(kv.sim_critical && kv.hot_path, "{f}");
+        }
+        assert!(!context_for("crates/kvstore/src/sim.rs").hot_path);
         // The cloud catalog verifies every uploaded and restored byte,
         // so it sits on the ingest hot path too; durable placement
         // does not.

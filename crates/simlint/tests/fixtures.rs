@@ -308,7 +308,8 @@ fn p001_fires_with_exact_spans() {
         ],
     );
     // Fixed arrays, literal indices, ranges, len()-covered and
-    // get()-based access: nothing else fires.
+    // get()-based access, and lifetime-annotated slice types: nothing
+    // else fires.
     assert!(findings.iter().all(|f| f.rule == RuleId::P001));
 }
 

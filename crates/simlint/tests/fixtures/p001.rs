@@ -42,3 +42,9 @@ pub fn local_fixed(i: usize) -> u64 {
 pub fn plain_unchecked(data: &[u8], i: usize) -> u8 {
     data[i]
 }
+
+pub type Field<'a> = (&'a [u8], Option<&'a [u8]>);
+
+pub fn borrowed<'a>(data: &'a [u8]) -> Field<'a> {
+    (data, None)
+}
